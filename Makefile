@@ -58,9 +58,10 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/benchtab -experiment agg -benchjson $(BENCH_JSON) -quiet
 
-# The previous PR's executor benchmark: serial slice-scan vs indexed vs
-# parallel indexed Yannakakis over identical plans (writes its own
-# fixed artifact so the exec trajectory stays comparable).
+# The executor benchmark: serial vs parallel indexed Yannakakis over
+# identical plans, the serial rows as the byte-identity reference
+# (writes its own fixed artifact so the exec trajectory stays
+# comparable).
 bench-exec:
 	$(GO) run ./cmd/benchtab -experiment exec -benchjson BENCH_PR5.json -quiet
 
@@ -79,10 +80,10 @@ bench-gate:
 		-benchjson /tmp/BENCH_query_fresh.json \
 		-compare $(BENCH_BASELINE) -tolerance 0.25 -calibrate query-cold -quiet
 
-# This PR's benchmark: the memory-diet harness — columnar kernels vs
-# the frozen pre-columnar rowref executor, allocs/op and bytes/op cold
-# vs warm, with byte-identity and the 2x allocation-reduction wall
-# enforced inside the experiment. Writes $(BENCH_MEM_JSON).
+# The memory-diet benchmark: the columnar executor vs the frozen
+# pre-columnar rowref executor, allocs/op and bytes/op cold vs warm,
+# with byte-identity and the 2x allocation-reduction wall enforced
+# inside the experiment. Writes $(BENCH_MEM_JSON).
 bench-mem:
 	$(GO) run ./cmd/benchtab -experiment mem -benchjson $(BENCH_MEM_JSON) -quiet
 
@@ -141,13 +142,13 @@ bench-incr-gate:
 		-compare $(BENCH_INCR_JSON) -tolerance 0.50 \
 		-gate incr-maint/ -calibrate incr-rebuild/ -quiet
 
-# The crash-recovery wall: kill -9 a child process mid-append and
-# mid-snapshot-save, then assert the reopened log serves an intact
-# contiguous prefix (torn tails truncated, never served corrupt), plus
-# the torn-tail/bit-flip recovery table and the concurrent-save race.
+# The crash-recovery wall: kill -9 a child process mid-append, then
+# assert the reopened log serves an intact contiguous prefix (torn
+# tails truncated, never served corrupt), plus the torn-tail/bit-flip
+# recovery table and the disk-backed service warm restart.
 crash-recovery:
 	$(GO) test -race -count=1 \
-		-run 'TestCrashRecovery|TestSnapshotConcurrentSaves|TestLogTornTail|TestLogBitFlip|TestDiskBackedServiceWarmRestart' \
+		-run 'TestCrashRecovery|TestLogTornTail|TestLogBitFlip|TestDiskBackedServiceWarmRestart' \
 		./internal/store ./internal/service
 
 # The two-process warm-restart wall: boot a real htdserve with
@@ -171,7 +172,7 @@ load-gate:
 	./scripts/load_gate.sh $(LOAD_JSON)
 
 stress:
-	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestSnapshot|TestServeCache|TestShardedConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
+	$(GO) test -race -count=2 -run 'TestStoreStress|TestCoalescing|TestBatchDuplicates|TestServeCache|TestShardedConcurrency|TestFlight' ./internal/store ./internal/service ./cmd/htdserve
 
 differential:
 	$(GO) test -race -count=1 -run 'TestDifferential|TestConcurrentIdentical|TestEval|TestServeQuery' ./internal/query ./internal/join ./cmd/htdserve
@@ -179,11 +180,13 @@ differential:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=10s .
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=10s ./internal/join
+	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=10s ./internal/store
 
 # The nightly workflow's long-form fuzz: 5 minutes per target.
 fuzz-long:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeCheckHD -fuzztime=5m .
 	$(GO) test -run=NONE -fuzz=FuzzParseQuery -fuzztime=5m ./internal/join
+	$(GO) test -run=NONE -fuzz=FuzzLogReplay -fuzztime=5m ./internal/store
 
 # Fails on broken intra-repo links (and missing anchors) in committed
 # Markdown files; mirrors the CI docs job.

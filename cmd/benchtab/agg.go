@@ -15,7 +15,7 @@ import (
 // materialise-then-fold on high-output instances: star queries whose
 // answer count is the product of the arm fan-outs, so the result set
 // dwarfs every bag relation. Both sides run the same plan on the same
-// indexed kernel; the only difference is whether the answer rows are
+// indexed executor; the only difference is whether the answer rows are
 // materialised before folding. The experiment also verifies the
 // row-budget flip: with max_rows below the answer count the row form
 // aborts with ErrRowBudget while the pushdown — whose state is bounded

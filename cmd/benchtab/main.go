@@ -17,11 +17,11 @@
 // repeat traffic and request coalescing); the query experiment drives
 // the end-to-end conjunctive-query pipeline (Yannakakis over
 // store-cached decompositions) with cold-plan vs warm-plan traffic;
-// the exec experiment races the three executor kernels (legacy
-// slice-scan, hash-indexed, parallel indexed) over identical plans;
+// the exec experiment races the serial and the parallel indexed
+// executor over identical plans;
 // the agg experiment compares aggregate pushdown against
 // materialise-then-fold on high-output star queries (BENCH_PR6.json);
-// the mem experiment is the memory-diet harness — columnar kernels vs
+// the mem experiment is the memory-diet harness — the columnar executor vs
 // the frozen pre-columnar rowref executor, recording allocs/op,
 // bytes/op, GC pauses, and peak RSS, with byte-identity and a 2x
 // allocation-reduction wall enforced in-experiment (BENCH_PR8.json);

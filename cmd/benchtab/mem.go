@@ -17,21 +17,20 @@ import (
 
 // memExperiment is the memory-diet harness behind `make bench-mem`
 // (BENCH_PR8.json): per workload bucket it runs the same pre-computed
-// plans through three executors —
+// plans through two executors —
 //
 //   - rowref: the frozen pre-columnar executor (one heap []int per
 //     tuple, string-keyed hash maps), the live allocation baseline;
-//   - scan: the slice-scan kernel on columnar storage;
-//   - indexed: the default hash-indexed kernel on columnar storage;
+//   - indexed: the hash-indexed executor on columnar storage;
 //
 // — and records allocs/op, bytes/op, GC pause totals, and wall time
 // for a cold pass and a best-of-rounds warm pass each, plus the
 // process's peak RSS (VmHWM). Two walls run inside the experiment
 // before anything is written:
 //
-//  1. row identity: both columnar kernels must reproduce the rowref
+//  1. row identity: the columnar executor must reproduce the rowref
 //     executor's rows byte for byte, order included, on every instance;
-//  2. allocation diet: the indexed kernel's warm allocs/op AND
+//  2. allocation diet: the indexed executor's warm allocs/op AND
 //     bytes/op must be at most half the rowref baseline's in every
 //     bucket — the ≥2x reduction the columnar refactor exists for.
 //
@@ -61,7 +60,7 @@ func memExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPath
 		Timestamp:   time.Now().UTC().Format(time.RFC3339),
 	}
 	t := &harness.Table{
-		Title: "Memory diet: pre-columnar rowref vs columnar scan vs columnar indexed",
+		Title: "Memory diet: pre-columnar rowref vs columnar indexed",
 		Headers: []string{"Bucket", "N", "engine",
 			"warm-ms", "allocs/op", "KB/op", "gc-pause-ms", "vs-rowref-allocs"},
 	}
@@ -118,12 +117,11 @@ func memExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPath
 					return rows
 				},
 			},
-			{name: "scan", eval: columnarEval(ctx, instances, join.EvalOptions{Kernel: join.KernelScan}), rows: columnarRows},
 			{name: "indexed", eval: columnarEval(ctx, instances, join.EvalOptions{}), rows: columnarRows},
 		}
 
 		n := float64(len(instances))
-		var warm [3]memSample
+		var warm [2]memSample
 		var reference [][][]int
 		for ei, eng := range engines {
 			var cold memSample
@@ -183,14 +181,11 @@ func memExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPath
 				fmt.Sprintf("%.2fx", warm[0].allocs/best.allocs))
 		}
 
-		// Wall 2: the allocation diet this refactor exists for. The gate
-		// binds the default (indexed) kernel; the scan kernel keeps its
-		// string-keyed maps on purpose, as an independent implementation
-		// for the differential walls, and is reported, not gated.
-		idx, ref := warm[2], warm[0]
+		// Wall 2: the allocation diet the columnar layout exists for.
+		idx, ref := warm[1], warm[0]
 		if idx.allocs*2 > ref.allocs || idx.bytes*2 > ref.bytes {
 			return nil, fmt.Errorf(
-				"bucket %s: columnar indexed kernel missed the 2x allocation diet: %.0f allocs/op, %.0f B/op vs rowref %.0f allocs/op, %.0f B/op",
+				"bucket %s: columnar indexed executor missed the 2x allocation diet: %.0f allocs/op, %.0f B/op vs rowref %.0f allocs/op, %.0f B/op",
 				b.name, idx.allocs/n, idx.bytes/n, ref.allocs/n, ref.bytes/n)
 		}
 	}
@@ -206,7 +201,7 @@ func memExperiment(ctx context.Context, cfg harness.Config, rounds int, jsonPath
 	t.Notes = append(t.Notes,
 		"identical pre-computed minimum-width plans for all engines; warm = best of -rounds passes after a cold pass",
 		"rowref: the frozen pre-columnar executor ([]int-per-tuple storage, string map keys), measured live as the baseline",
-		"rows verified byte-identical (order included) across all three engines before anything is written",
+		"rows verified byte-identical (order included) across both engines before anything is written",
 		"gate, enforced in-experiment: indexed warm allocs/op and bytes/op ≤ half of rowref, per bucket")
 
 	if jsonPath != "" {
@@ -291,7 +286,6 @@ func peakRSSKB() (int, error) {
 func engineNote(name string) string {
 	return map[string]string{
 		"rowref":  "pre-columnar baseline: one heap []int per tuple, string-keyed hash maps, serial",
-		"scan":    "slice-scan kernel over columnar arena storage (string-keyed maps kept as the independent differential implementation)",
-		"indexed": "hash-indexed kernel over columnar arena storage: offset-range CSR indexes, open-addressing dedup, serial",
+		"indexed": "hash-indexed executor over columnar arena storage: offset-range CSR indexes, open-addressing dedup, serial",
 	}[name]
 }

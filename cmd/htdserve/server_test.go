@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,18 +18,13 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *htd.Service) {
 	t.Helper()
-	return newTestServerSnapshot(t, "")
-}
-
-func newTestServerSnapshot(t *testing.T, snapshotPath string) (*httptest.Server, *htd.Service) {
-	t.Helper()
 	svc := htd.NewService(htd.ServiceConfig{
 		TokenBudget:    2,
 		MaxConcurrent:  4,
 		MaxQueue:       64,
 		DefaultTimeout: 30 * time.Second,
 	})
-	ts := httptest.NewServer(newHandler(svc, 4, snapshotPath, 0))
+	ts := httptest.NewServer(newHandler(svc, 4, 0))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
@@ -297,12 +290,11 @@ func TestServeHealthzAndStats(t *testing.T) {
 }
 
 // TestServeCacheEndpoints drives the store over HTTP: a repeat request
-// is a cache hit, GET /cache lists the entry, save/purge/load round the
-// state through a snapshot file, and a second server warm-starts from
-// it.
+// is a cache hit, GET /cache lists the entry, POST /cache/purge makes
+// the next request cold again, and the removed snapshot endpoints
+// answer 404 (the disk store behind -store-dir is the only persistence).
 func TestServeCacheEndpoints(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "cache.json")
-	ts, _ := newTestServerSnapshot(t, snapPath)
+	ts, _ := newTestServer(t)
 	body := `{"hypergraph":"r1(x,y), r2(y,z), r3(z,x).","k":2}`
 
 	// First request solves; the repeat must be a validated cache hit.
@@ -314,19 +306,26 @@ func TestServeCacheEndpoints(t *testing.T) {
 		t.Fatalf("repeat request should be a cache hit with a tree: %+v", hit)
 	}
 
-	// GET /cache lists the cached entry with its bounds.
-	cresp, err := http.Get(ts.URL + "/cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cresp.Body.Close()
-	var cache struct {
+	type cacheListing struct {
 		Store   htd.StoreStats       `json:"store"`
 		Entries []htd.StoreEntryInfo `json:"entries"`
 	}
-	if err := json.NewDecoder(cresp.Body).Decode(&cache); err != nil {
-		t.Fatal(err)
+	getCache := func() cacheListing {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/cache")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var c cacheListing
+		if err := json.NewDecoder(resp.Body).Decode(&c); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
+
+	// GET /cache lists the cached entry with its bounds.
+	cache := getCache()
 	if cache.Store.Entries != 1 || len(cache.Entries) != 1 {
 		t.Fatalf("cache listing: %+v", cache)
 	}
@@ -334,57 +333,27 @@ func TestServeCacheEndpoints(t *testing.T) {
 		t.Fatalf("cached entry: %+v", cache.Entries[0])
 	}
 
-	// Save, purge (cold again), then load (warm again).
-	resp, save := postJSON(t, ts.URL+"/cache/save", `{}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("save: status %d %+v", resp.StatusCode, save)
-	}
-	if _, err := os.Stat(snapPath); err != nil {
-		t.Fatalf("snapshot file not written: %v", err)
-	}
+	// Purge empties the store; the next request is cold again.
 	if resp, _ := postJSON(t, ts.URL+"/cache/purge", ``); resp.StatusCode != http.StatusOK {
 		t.Fatalf("purge: status %d", resp.StatusCode)
 	}
+	if cache := getCache(); cache.Store.Entries != 0 || len(cache.Entries) != 0 {
+		t.Fatalf("cache listing after purge: %+v", cache)
+	}
 	_, cold := postJSON(t, ts.URL+"/decompose", body)
-	if cold.CacheHit {
+	if !cold.OK || cold.CacheHit {
 		t.Fatalf("request after purge cannot be a cache hit: %+v", cold)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/cache/load", `{}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("load: status %d", resp.StatusCode)
-	}
 
-	// A fresh server warm-starts from the same snapshot file.
-	ts2, svc2 := newTestServerSnapshot(t, snapPath)
-	if resp, _ := postJSON(t, ts2.URL+"/cache/load", ``); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm load: status %d", resp.StatusCode)
-	}
-	_, warm := postJSON(t, ts2.URL+"/decompose", body)
-	if !warm.OK || !warm.CacheHit {
-		t.Fatalf("warm-started server should answer from the snapshot: %+v", warm)
-	}
-	if st := svc2.Stats(); st.SolverRuns != 0 {
-		t.Fatalf("warm-started server ran %d solvers, want 0", st.SolverRuns)
-	}
-
-	// Save/load on a server started without -snapshot is a 400.
-	ts3, _ := newTestServer(t)
-	if resp, _ := postJSON(t, ts3.URL+"/cache/save", ``); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("pathless save: status %d, want 400", resp.StatusCode)
-	}
-	// Loading a missing file (in the allowed directory) is a 400, not a
-	// crash.
-	missing := `{"path":"` + filepath.Join(filepath.Dir(snapPath), "nope.json") + `"}`
-	if resp, _ := postJSON(t, ts.URL+"/cache/load", missing); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing-file load: status %d, want 400", resp.StatusCode)
-	}
-	// Paths outside the -snapshot directory are rejected: the HTTP body
-	// must not choose arbitrary filesystem targets.
-	for _, escape := range []string{
-		`{"path":"` + filepath.Join(t.TempDir(), "elsewhere.json") + `"}`,
-		`{"path":"` + filepath.Join(filepath.Dir(snapPath), "..", "escape.json") + `"}`,
-	} {
-		if resp, _ := postJSON(t, ts.URL+"/cache/save", escape); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("out-of-directory save %s: status %d, want 400", escape, resp.StatusCode)
+	// The snapshot endpoints are gone.
+	for _, ep := range []string{"/cache/save", "/cache/load"} {
+		resp, err := http.Post(ts.URL+ep, "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: status %d, want 404", ep, resp.StatusCode)
 		}
 	}
 }

@@ -770,14 +770,13 @@ func Aggregate(q Query, db Database, d *decomp.Decomp, spec AggSpec) (AggResult,
 }
 
 // AggregateCtx is Aggregate under a context and per-query limits,
-// running on the budgeted indexed kernel: bag materialisation and the
+// running on the budgeted executor: bag materialisation and the
 // two semijoin passes honour ctx cancellation, the row budget and the
 // shared token budget exactly like EvaluateCtx, and the partial
 // aggregate states count against MaxRows through the group cardinality
 // (a grouped answer larger than the budget aborts with ErrRowBudget —
 // but a huge *answer set* folded into a few groups does not, which is
-// the whole point of pushing aggregates down). opts.Kernel is ignored:
-// aggregates always run on the indexed executor.
+// the whole point of pushing aggregates down).
 func AggregateCtx(ctx context.Context, q Query, db Database, d *decomp.Decomp, spec AggSpec, opts EvalOptions) (AggResult, error) {
 	if err := spec.Validate(q); err != nil {
 		return AggResult{}, err

@@ -36,7 +36,7 @@ func TestArenaZeroRowRelation(t *testing.T) {
 	if j.Size() != 0 {
 		t.Fatalf("empty ⋈ nonempty has %d rows", j.Size())
 	}
-	sj, err := s.Semijoin(r)
+	sj, err := semijoin(s, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestArenaSingleAttribute(t *testing.T) {
 		t.Fatalf("Dedup = %v", got)
 	}
 	s := NewRelation("x").Add(1).Add(2)
-	sj, err := r.Semijoin(s)
+	sj, err := semijoin(r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +182,16 @@ func TestArenaSortRowsChunkSpan(t *testing.T) {
 // TestExecChunkBoundaryJoin runs a query whose final join output lands
 // exactly around a chunk boundary through every executor configuration
 // — the spot where a missed chunk append in the probe loop would panic
-// or drop rows.
+// or drop rows — against the rowref executor's rows.
 func TestExecChunkBoundaryJoin(t *testing.T) {
 	for _, rows := range []int{16, 17} { // 16³ = 4096 answers = exactly one chunk
 		q, db := explodingInstance(rows)
 		d := decomposeFor(t, q)
-		var want *Relation
-		for _, name := range []string{"scan", "indexed", "parallel", "parallel-tokens", "parallel-0tokens"} {
-			opts := execOptsMatrix()[name]
+		want, err := EvaluateRowRef(context.Background(), q, NewRowDatabase(db), d, 0)
+		if err != nil {
+			t.Fatalf("rows=%d rowref: %v", rows, err)
+		}
+		for name, opts := range execOptsMatrix() {
 			got, err := EvaluateCtx(context.Background(), q, db, d, opts)
 			if err != nil {
 				t.Fatalf("rows=%d %s: %v", rows, name, err)
@@ -197,10 +199,8 @@ func TestExecChunkBoundaryJoin(t *testing.T) {
 			if got.Size() != rows*rows*rows {
 				t.Fatalf("rows=%d %s: %d answers, want %d", rows, name, got.Size(), rows*rows*rows)
 			}
-			if want == nil {
-				want = got
-			} else if !reflect.DeepEqual(got.Rows(), want.Rows()) {
-				t.Fatalf("rows=%d %s: diverged from the scan kernel", rows, name)
+			if !reflect.DeepEqual(got.Rows(), want.Tuples) {
+				t.Fatalf("rows=%d %s: diverged from the rowref executor", rows, name)
 			}
 		}
 	}
@@ -254,8 +254,8 @@ func TestExecCancelMidColumnarJoin(t *testing.T) {
 
 // TestRowRefMatchesColumnarKernels is the pre-columnar differential:
 // the frozen row-layout executor must agree byte for byte — order
-// included — with every columnar configuration, on random instances
-// and on a chunk-spanning one.
+// included — with every executor configuration (execOptsMatrix), on
+// random instances and on a chunk-spanning one.
 func TestRowRefMatchesColumnarKernels(t *testing.T) {
 	for seed := 0; seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -287,12 +287,14 @@ func TestRowRefMatchesColumnarKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Rows(), want.Tuples) {
-		t.Fatal("chunk-spanning answer diverged from the pre-columnar reference")
+	for name, opts := range execOptsMatrix() {
+		got, err := EvaluateCtx(context.Background(), q, db, d, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Rows(), want.Tuples) {
+			t.Fatalf("%s: chunk-spanning answer diverged from the pre-columnar reference", name)
+		}
 	}
 }
 

@@ -10,22 +10,6 @@ import (
 	"repro/internal/decomp"
 )
 
-// Kernel selects the relational kernel backing an evaluation.
-type Kernel int
-
-const (
-	// KernelIndexed (the default) evaluates over build-once hash indexes
-	// keyed on the shared variables of each join-tree edge, optionally in
-	// parallel (EvalOptions.Parallelism). Its output is byte-identical to
-	// the scan kernel's.
-	KernelIndexed Kernel = iota
-	// KernelScan is the legacy slice-scan kernel: every semijoin and join
-	// re-scans tuple slices with formatted string keys. Kept as the
-	// benchmark baseline and as an independent implementation for
-	// differential tests.
-	KernelScan
-)
-
 // TokenSource supplies the extra-worker tokens a parallel evaluation's
 // spawned subtree tasks draw from. It mirrors logk.TokenSource
 // structurally (service.TokenBudget satisfies both), so query execution
@@ -44,10 +28,10 @@ type TokenSource interface {
 // pointing EvalOptions.Stats at a zero value.
 type ExecStats struct {
 	// IndexBuilds and IndexProbes count hash indexes built and tuples
-	// probed against them (KernelIndexed only). IndexReuses counts the
-	// builds avoided because a base relation arrived with a maintained
-	// index for the probed column set (dataset snapshots, cached inline
-	// databases) — the unchanged-data fast path.
+	// probed against them. IndexReuses counts the builds avoided because
+	// a base relation arrived with a maintained index for the probed
+	// column set (dataset snapshots, cached inline databases) — the
+	// unchanged-data fast path.
 	IndexBuilds int64
 	IndexReuses int64
 	IndexProbes int64
@@ -65,15 +49,15 @@ type ExecStats struct {
 
 // pollEvery is the probe-loop cancellation granularity: long scans check
 // the context every pollEvery iterations, so a single huge semijoin or
-// join cannot blow past the query deadline the way the scan kernel's
-// between-ops checks allow.
+// join cannot blow past the query deadline between relational
+// operations.
 const pollEvery = 1024
 
 // parallelJoinMinRows is the probe-side size beyond which a final-pass
 // join partitions its probe loop across workers.
 const parallelJoinMinRows = 4096
 
-// executor runs one indexed evaluation: bag materialisation and the
+// executor runs one evaluation: bag materialisation and the
 // three Yannakakis passes over hash indexes, with sibling subtrees (and
 // large final-join probe loops) running concurrently on a bounded worker
 // pool. All workers are joined before any entry point returns, so an
@@ -101,8 +85,13 @@ type executor struct {
 	maxWorkers    atomic.Int64
 }
 
-// evaluateIndexed is the KernelIndexed entry point behind EvaluateCtx.
-func evaluateIndexed(ctx context.Context, q Query, db Database, d *decomp.Decomp, opts EvalOptions) (*Relation, error) {
+// EvaluateCtx is Evaluate under a context, per-query limits, and an
+// executor configuration: the evaluation is aborted when the context is
+// cancelled (deadline = the query's time budget) or when any
+// intermediate or final relation exceeds opts.MaxRows (ErrRowBudget),
+// both checked inside the probe loops. Rows come out byte-identical at
+// any parallelism.
+func EvaluateCtx(ctx context.Context, q Query, db Database, d *decomp.Decomp, opts EvalOptions) (*Relation, error) {
 	ectx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	e := &executor{
@@ -322,8 +311,8 @@ func (e *executor) semijoinStack(r *Relation, shared []string, stack []*hashInde
 
 // semijoinProbe filters r to the tuples whose key on shared hits ix (a
 // prebuilt index of the other relation on the same attributes). The
-// probe loop polls the context every pollEvery tuples — the fix for the
-// scan kernel's "budgets checked only between ops" gap.
+// probe loop polls the context every pollEvery tuples, so cancellation
+// lands mid-operation rather than only between operations.
 func (e *executor) semijoinProbe(r *Relation, shared []string, ix *hashIndex) (*Relation, error) {
 	e.semijoins.Add(1)
 	rIdx, err := r.attrIndex(shared)
@@ -344,10 +333,11 @@ func (e *executor) semijoinProbe(r *Relation, shared []string, ix *hashIndex) (*
 }
 
 // join returns the natural join r ⋈ s via a hash index of s on the
-// shared attributes. Output row order matches the scan kernel exactly:
-// probe tuples in r order, matches in s insertion order. Large probe
-// sides are partitioned across workers and the partitions concatenated
-// in order, so the parallel result stays byte-identical. The row budget
+// shared attributes. Output row order is fixed: probe tuples in r
+// order, matches in s insertion order (the order Relation.Join and the
+// rowref oracle produce). Large probe sides are partitioned across
+// workers and the partitions concatenated in order, so the parallel
+// result stays byte-identical. The row budget
 // is enforced inside the probe loop, not just on the finished relation.
 func (e *executor) join(r, s *Relation) (*Relation, error) {
 	e.joins.Add(1)
@@ -457,7 +447,7 @@ func (e *executor) join(r, s *Relation) (*Relation, error) {
 	return out, nil
 }
 
-// run evaluates the query: indexed bag materialisation, the two semijoin
+// run evaluates the query: bag materialisation, the two semijoin
 // passes, and the final join pass, with sibling subtrees concurrent in
 // every phase.
 func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error) {
@@ -485,7 +475,9 @@ func (e *executor) run(q Query, db Database, d *decomp.Decomp) (*Relation, error
 
 // build materialises the bag relation of n (join of the λ(u) atom
 // relations, projected to χ(u), with covering atoms enforced) and
-// recurses into the children concurrently.
+// recurses into the children concurrently. Before projection a bag has
+// at most ∏_{e∈λ(u)} |rel(e)| ≤ N^width tuples — the classic
+// width-bounded evaluation guarantee.
 func (e *executor) build(q Query, db Database, d *decomp.Decomp, coverOf map[*decomp.Node][]int, n *decomp.Node) (*bagNode, error) {
 	var acc *Relation
 	for _, eid := range n.Lambda {
@@ -613,7 +605,7 @@ func (e *executor) down(n *bagNode) error {
 // collect is the final bottom-up join pass: each child's subtree result
 // materialises concurrently (a per-subtree partition of the answer's
 // provenance), then the node joins them left to right — the same merge
-// order as the scan kernel, so rows come out byte-identical.
+// order as the rowref oracle, so rows come out byte-identical.
 func (e *executor) collect(n *bagNode) (*Relation, error) {
 	subs := make([]*Relation, len(n.children))
 	if err := e.forEach(len(n.children), func(i int) error {

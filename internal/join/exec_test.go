@@ -16,11 +16,9 @@ import (
 )
 
 // execOptsMatrix is every executor configuration the differential tests
-// sweep: the legacy scan baseline, the serial indexed kernel, and the
-// parallel indexed kernel with and without a token budget.
+// sweep: serial, and parallel with and without a token budget.
 func execOptsMatrix() map[string]EvalOptions {
 	return map[string]EvalOptions{
-		"scan":             {Kernel: KernelScan},
 		"indexed":          {},
 		"parallel":         {Parallelism: 4},
 		"parallel-tokens":  {Parallelism: 4, Tokens: newCountingTokens(3)},
@@ -120,23 +118,22 @@ func decomposeFor(t *testing.T, q Query) *decomp.Decomp {
 	return nil
 }
 
-// TestKernelsByteIdentical: the indexed kernel — serial and parallel —
-// must produce not just the same row set as the legacy scan kernel but
-// the very same tuple order, byte for byte.
+// TestKernelsByteIdentical: every executor configuration — serial and
+// parallel, with and without a token budget — must produce not just the
+// same row set as the independent rowref executor but the very same
+// tuple order, byte for byte, while populating its stats and returning
+// every token it leased.
 func TestKernelsByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		q, db := randomInstanceForExec(r, 3+int(seed%4), 40, 6)
 		d := decomposeFor(t, q)
 
-		want, err := EvaluateCtx(context.Background(), q, db, d, EvalOptions{Kernel: KernelScan})
+		want, err := EvaluateRowRef(context.Background(), q, NewRowDatabase(db), d, 0)
 		if err != nil {
-			t.Fatalf("seed %d scan: %v", seed, err)
+			t.Fatalf("seed %d rowref: %v", seed, err)
 		}
 		for name, opts := range execOptsMatrix() {
-			if name == "scan" {
-				continue
-			}
 			var stats ExecStats
 			opts.Stats = &stats
 			got, err := EvaluateCtx(context.Background(), q, db, d, opts)
@@ -146,9 +143,9 @@ func TestKernelsByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(got.Attrs, want.Attrs) {
 				t.Fatalf("seed %d %s: attrs %v, want %v", seed, name, got.Attrs, want.Attrs)
 			}
-			if !reflect.DeepEqual(got.Rows(), want.Rows()) {
-				t.Fatalf("seed %d %s: tuple order diverged from the scan kernel (%d vs %d rows)",
-					seed, name, got.Size(), want.Size())
+			if !reflect.DeepEqual(got.Rows(), want.Tuples) {
+				t.Fatalf("seed %d %s: tuple order diverged from the rowref executor (%d vs %d rows)",
+					seed, name, got.Size(), len(want.Tuples))
 			}
 			if stats.Joins == 0 && stats.Semijoins == 0 && len(q.Atoms) > 1 {
 				t.Fatalf("seed %d %s: executor stats not populated: %+v", seed, name, stats)
@@ -163,7 +160,7 @@ func TestKernelsByteIdentical(t *testing.T) {
 }
 
 // TestExecEmptyRelation: an empty atom relation empties the whole
-// answer, in every kernel, without errors.
+// answer, in every configuration, without errors.
 func TestExecEmptyRelation(t *testing.T) {
 	q := Query{Atoms: []Atom{
 		{Relation: "R", Vars: []string{"x", "y"}},
@@ -188,7 +185,7 @@ func TestExecEmptyRelation(t *testing.T) {
 }
 
 // TestExecDuplicateRows: duplicate input tuples must not produce
-// duplicate answers (the final dedup), in every kernel.
+// duplicate answers (the final dedup), in every configuration.
 func TestExecDuplicateRows(t *testing.T) {
 	q := Query{Atoms: []Atom{
 		{Relation: "R", Vars: []string{"x", "y"}},
@@ -371,7 +368,7 @@ func TestExecRowBudgetSkewedKey(t *testing.T) {
 
 // TestSemijoinPollsInsideProbeLoop: a deadline expiring in the middle of
 // one huge semijoin must abort that operation from within its probe
-// loop — the scan kernel would only notice after finishing the scan.
+// loop, not only after finishing the scan.
 func TestSemijoinPollsInsideProbeLoop(t *testing.T) {
 	// One semijoin with a large probe side; the deadline lands mid-scan.
 	big := NewRelation("a", "b")
@@ -390,7 +387,7 @@ func TestSemijoinPollsInsideProbeLoop(t *testing.T) {
 	}
 }
 
-// TestExecRowBudgetInsideJoinLoop: the indexed join aborts while
+// TestExecRowBudgetInsideJoinLoop: the executor's join aborts while
 // producing rows, long before materialising the full cross product.
 func TestExecRowBudgetInsideJoinLoop(t *testing.T) {
 	q, db := explodingInstance(2000) // 4M answers if allowed to finish

@@ -12,7 +12,7 @@ package join
 // of the candidate bucket. Building an index therefore allocates a
 // handful of flat arrays, where the byte-string-keyed map of the
 // pre-columnar layout allocated one key string per distinct key — the
-// single biggest line item of the old kernel's allocation profile.
+// single biggest line item of the old layout's allocation profile.
 
 // hashIndex is a build-once index of one relation on one column set.
 // An index may cover only a row range [lo, hi) of its relation: the
@@ -58,8 +58,8 @@ func rowsEqualOn(r *Relation, rCols []int, i int, s *Relation, sCols []int, j in
 
 // buildIndex indexes r on attrs. Bucket row offsets keep r's row
 // order, so probes that emit matches bucket-by-bucket produce the same
-// row order as the scan kernel's insertion-order buckets — the
-// byte-identity contract. The guard's poll keeps a huge build
+// row order as insertion-order buckets (Relation.Join, the rowref
+// oracle) — the byte-identity contract. The guard's poll keeps a huge build
 // responsive to cancellation.
 func buildIndex(r *Relation, attrs []string, g *guard) (*hashIndex, error) {
 	cols, err := r.attrIndex(attrs)
@@ -213,7 +213,7 @@ func dedupFast(r *Relation, g *guard) (*Relation, error) {
 
 // projectFast is Relation.Project with the same open-addressing
 // deduplication and guard polling; first-occurrence order is
-// preserved, like the scan path.
+// preserved, like Relation.Project.
 func projectFast(r *Relation, attrs []string, g *guard) (*Relation, error) {
 	idx, err := r.attrIndex(attrs)
 	if err != nil {

@@ -28,10 +28,16 @@ func TestProject(t *testing.T) {
 	}
 }
 
+// semijoin runs the executor's semijoin r ⋉ s serially, unbudgeted.
+func semijoin(r, s *Relation) (*Relation, error) {
+	e := &executor{g: &guard{ctx: context.Background()}, cancel: func() {}}
+	return e.semijoin(r, s)
+}
+
 func TestSemijoin(t *testing.T) {
 	r := NewRelation("a", "b").Add(1, 10).Add(2, 20).Add(3, 30)
 	s := NewRelation("b", "c").Add(10, 100).Add(30, 300)
-	out, err := r.Semijoin(s)
+	out, err := semijoin(r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +51,11 @@ func TestSemijoinNoSharedAttrs(t *testing.T) {
 	r := NewRelation("a").Add(1).Add(2)
 	nonEmpty := NewRelation("z").Add(9)
 	empty := NewRelation("z")
-	out, _ := r.Semijoin(nonEmpty)
+	out, _ := semijoin(r, nonEmpty)
 	if out.Size() != 2 {
 		t.Fatal("semijoin with non-empty disjoint relation should keep all tuples")
 	}
-	out, _ = r.Semijoin(empty)
+	out, _ = semijoin(r, empty)
 	if out.Size() != 0 {
 		t.Fatal("semijoin with empty disjoint relation should drop all tuples")
 	}
@@ -142,27 +148,6 @@ func TestEvaluateTriangle(t *testing.T) {
 	// (already asserted) plus a spot check:
 	if got.Size() == 0 {
 		t.Fatal("triangle query should have answers")
-	}
-}
-
-func TestIsBoolean(t *testing.T) {
-	q, db := triangleFixture()
-	d := decompose(t, q, 2)
-	ok, err := IsBoolean(q, db, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("triangle query should be satisfiable")
-	}
-	// Remove all T tuples: unsatisfiable.
-	db2 := Database{"R": db["R"], "S": db["S"], "T": NewRelation("c1", "c2")}
-	ok, err = IsBoolean(q, db2, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("query with empty T should be unsatisfiable")
 	}
 }
 
@@ -296,28 +281,43 @@ func TestAtomErrors(t *testing.T) {
 // TestBuildJoinTreeEdgeCountMismatch: a decomposition built for a
 // different hypergraph (different atom count) must be rejected up front
 // with a descriptive error, not fail deep inside bag materialisation.
+// The guard is assignAtomCovers, the plan shaping every join-tree build
+// shares, so each entry point must surface it: Evaluate/EvaluateCtx at
+// every executor configuration, and the aggregate engine.
 func TestBuildJoinTreeEdgeCountMismatch(t *testing.T) {
 	q, db := triangleFixture()
 	d := decompose(t, q, 2)
 
 	short := Query{Atoms: q.Atoms[:2]}
-	if _, err := BuildJoinTree(short, db, d); err == nil {
-		t.Fatal("BuildJoinTree should reject a decomposition with more edges than the query has atoms")
-	} else if !strings.Contains(err.Error(), "3 edges, query has 2 atoms") {
-		t.Fatalf("unhelpful mismatch error: %v", err)
-	}
-
 	long := Query{Atoms: append(append([]Atom(nil), q.Atoms...), Atom{Relation: "R", Vars: []string{"x", "w"}})}
-	if _, err := BuildJoinTree(long, db, d); err == nil {
-		t.Fatal("BuildJoinTree should reject a decomposition with fewer edges than the query has atoms")
-	}
-
-	// Evaluate and EvaluateCtx surface the same guard.
-	if _, err := Evaluate(short, db, d); err == nil {
-		t.Fatal("Evaluate should propagate the edge-count mismatch")
-	}
-	if _, err := EvaluateCtx(context.Background(), short, db, d, EvalOptions{}); err == nil {
-		t.Fatal("EvaluateCtx should propagate the edge-count mismatch")
+	for _, tc := range []struct {
+		name string
+		q    Query
+		want string
+	}{
+		{"more edges than atoms", short, "3 edges, query has 2 atoms"},
+		{"fewer edges than atoms", long, "3 edges, query has 4 atoms"},
+	} {
+		check := func(entry string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s: %s should reject the decomposition", tc.name, entry)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: %s: unhelpful mismatch error: %v", tc.name, entry, err)
+			}
+		}
+		_, err := Evaluate(tc.q, db, d)
+		check("Evaluate", err)
+		for name, opts := range execOptsMatrix() {
+			_, err := EvaluateCtx(context.Background(), tc.q, db, d, opts)
+			check("EvaluateCtx/"+name, err)
+		}
+		_, err = AggregateCtx(context.Background(), tc.q, db, d, AggSpec{Kind: AggCount}, EvalOptions{})
+		check("AggregateCtx(count)", err)
+		_, err = AggregateCtx(context.Background(), tc.q, db, d,
+			AggSpec{Kind: AggCount, GroupBy: []string{"x"}}, EvalOptions{Parallelism: 4})
+		check("AggregateCtx(count group by x, parallel)", err)
 	}
 }
 

@@ -46,8 +46,8 @@ func plainDB(db Database) Database {
 // TestMaintainedDeltaByteIdentical: after every random insert/delete
 // batch, evaluating over the maintained snapshot views (layered
 // indexes, reused across queries) must produce rows byte-identical to
-// a from-scratch evaluation on the materialised state — serial,
-// parallel, and against the scan kernel.
+// a from-scratch evaluation on the materialised state, serial and
+// parallel.
 func TestMaintainedDeltaByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(100 + seed))
@@ -84,7 +84,6 @@ func TestMaintainedDeltaByteIdentical(t *testing.T) {
 			for name, opts := range map[string]EvalOptions{
 				"indexed":  {},
 				"parallel": {Parallelism: 4},
-				"scan":     {Kernel: KernelScan},
 			} {
 				got, err := EvaluateCtx(context.Background(), q, views, d, opts)
 				if err != nil {

@@ -11,7 +11,7 @@ import (
 // []int per tuple and string-keyed hash maps — exactly the layout this
 // package used before the arena refactor. It exists for measurement
 // and differential testing, not for serving: benchtab's mem experiment
-// runs it beside the columnar kernels to (a) prove the columnar rows
+// runs it beside the columnar executor to (a) prove the columnar rows
 // are byte-identical to the old layout's, order included, and (b)
 // quantify the allocation diet against a live baseline rather than a
 // number frozen in a JSON file. It is deliberately serial and
@@ -207,11 +207,11 @@ type rowBagNode struct {
 }
 
 // EvaluateRowRef answers q over the row-layout database with the same
-// plan shaping as the columnar kernels — assignAtomCovers host
+// plan shaping as the columnar executor — assignAtomCovers host
 // selection, then the serial three-pass Yannakakis — so its rows are
-// the byte-identity reference (order included) for both columnar
-// kernels. ctx and maxRows are checked between relational operations,
-// like the old scan kernel did.
+// the byte-identity reference (order included) for the executor at
+// every parallelism. ctx and maxRows are checked between relational
+// operations only.
 func EvaluateRowRef(ctx context.Context, q Query, rdb RowDatabase, d *decomp.Decomp, maxRows int) (*RowRelation, error) {
 	check := func(r *RowRelation) error {
 		if err := ctx.Err(); err != nil {

@@ -80,10 +80,9 @@ type Config struct {
 	// StoreDir, when set (and Store is nil), makes Open build a
 	// disk-backed tiered store: the sharded in-memory backend above
 	// becomes the LRU working set over a crash-safe append-only log in
-	// this directory, so a restart serves its whole history warm with
-	// no snapshot file. The service owns the backend and closes it on
-	// Close. New ignores this field — a disk store can fail to open, so
-	// it is Open's job.
+	// this directory, so a restart serves its whole history warm. The
+	// service owns the backend and closes it on Close. New ignores this
+	// field — a disk store can fail to open, so it is Open's job.
 	StoreDir string
 	// StoreFsync is the disk store's durability cadence: 0 fsyncs every
 	// append, > 0 fsyncs at most that often (a crash loses at most the
@@ -336,7 +335,7 @@ func New(cfg Config) *Service {
 // the LRU working set over a crash-safe append-only log), owned by the
 // service and closed by Close. A restart pointed at the same directory
 // serves the entire cached history warm — zero solver runs for repeat
-// submissions — with no snapshot file involved.
+// submissions.
 func Open(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	owns := false
@@ -363,8 +362,8 @@ func Open(cfg Config) (*Service, error) {
 // Budget exposes the shared token pool (read-only use: sizing, stats).
 func (s *Service) Budget() *TokenBudget { return s.budget }
 
-// Store exposes the cross-request storage backend, for snapshots
-// (Export/Import), purges, and introspection.
+// Store exposes the cross-request storage backend, for purges and
+// introspection.
 func (s *Service) Store() store.Backend { return s.store }
 
 // Tenants exposes the per-tenant admission wall, for layered callers
@@ -533,7 +532,7 @@ func (s *Service) lookup(req Request, hash string) (Result, bool) {
 
 // cachedWitness materialises the cached tree for hash against h and
 // re-validates it with the independent checkers. An invalid tree (a
-// corrupted snapshot, a buggy backend) is dropped and reported as a
+// corrupted log record, a buggy backend) is dropped and reported as a
 // miss — the store can never leak an unvalidated decomposition.
 func (s *Service) cachedWitness(h *hypergraph.Hypergraph, hash string, maxW int) (*decomp.Decomp, int, bool) {
 	tree, ok := s.store.Decomposition(hash)

@@ -27,8 +27,7 @@
 //     truth, so every result persists as it is computed and a restart
 //     (graceful or kill -9) serves the whole history warm.
 //
-// Snapshot additionally gives any backend versioned save/load as a
-// portable export/import format. Request coalescing (Flight) lives
-// here too: N concurrent identical requests run one solver and share
-// the result.
+// The Log is the only persistence format: there is no separate
+// export/import file. Request coalescing (Flight) lives here too: N
+// concurrent identical requests run one solver and share the result.
 package store

@@ -22,12 +22,11 @@ type TieredConfig struct {
 // front is LRU-capped; the disk tier never evicts, so an entry pushed
 // out of memory by hotter traffic is still a cache hit — it is read
 // back from disk and re-promoted. A process restart reopens the log
-// and serves the entire history warm, with no snapshot file involved.
+// and serves the entire history warm.
 //
 // Negative-memo tables live in memory only (they are large and
 // regenerate quickly); their per-width summaries are flushed to the
-// log on Sync, Compact, Export, and Close, mirroring what snapshots
-// persist.
+// log on Sync, Compact, and Close.
 //
 // Disk append failures are counted (Stats().Disk.Errors) but do not
 // fail reads or lose the in-memory state: availability degrades to
@@ -122,8 +121,9 @@ func (t *Tiered) Stats() Stats {
 // memo-table summaries overlaid from the memory front.
 func (t *Tiered) Info(max int) []EntryInfo {
 	hashes := t.log.Hashes()
-	memInfo := make(map[string]EntryInfo)
-	for _, in := range t.mem.Info(0) {
+	memList := t.mem.Info(0)
+	memInfo := make(map[string]EntryInfo, len(memList))
+	for _, in := range memList {
 		memInfo[in.Hash] = in
 	}
 	var out []EntryInfo
@@ -146,8 +146,9 @@ func (t *Tiered) Info(max int) []EntryInfo {
 	}
 	// Memory-front entries the disk has no record for (memo tables
 	// created for hashes whose jobs produced no durable fact yet):
-	// after the overlay pass above, memInfo holds exactly those.
-	for _, in := range t.mem.Info(0) {
+	// after the overlay pass above, memInfo holds exactly those. They
+	// follow in memory-front order, from the one scan taken above.
+	for _, in := range memList {
 		if max > 0 && len(out) >= max {
 			break
 		}
@@ -166,49 +167,13 @@ func (t *Tiered) Purge() {
 }
 
 // flushSummaries appends the memory front's live memo summaries to the
-// log, so restarts keep the refutation bookkeeping snapshots persist.
+// log, so restarts keep the refutation bookkeeping.
 func (t *Tiered) flushSummaries() {
 	for _, in := range t.mem.Info(0) {
 		if len(in.Memos) > 0 {
 			t.log.MergeRefuted(in.Hash, in.Memos)
 		}
 	}
-}
-
-// Export implements Backend: summaries are flushed first, then the
-// disk index (the full durable state) becomes the snapshot.
-func (t *Tiered) Export() Snapshot {
-	t.flushSummaries()
-	return t.log.Export()
-}
-
-// Import implements Backend: entries are merged into both tiers; the
-// count is the number of snapshot entries now represented on disk
-// (the disk tier never evicts, so everything non-empty survives).
-func (t *Tiered) Import(snap Snapshot) (int, error) {
-	if err := snap.Validate(); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, se := range snap.Entries {
-		if se.Hash == "" {
-			continue
-		}
-		if se.Bounds.Known() {
-			t.MergeBounds(se.Hash, se.Bounds)
-		}
-		if se.Tree.Width() > 0 {
-			t.PutDecomposition(se.Hash, se.Tree)
-		}
-		if len(se.Refuted) > 0 {
-			t.log.MergeRefuted(se.Hash, se.Refuted)
-		}
-		if _, ok := t.log.Bounds(se.Hash); ok || len(se.Refuted) > 0 {
-			n++
-		}
-	}
-	t.mem.restored.Add(int64(n))
-	return n, nil
 }
 
 // Sync flushes memo summaries and fsyncs the log's unsynced tail.

@@ -16,7 +16,7 @@ func openTiered(t *testing.T, dir string, mem Config) *Tiered {
 }
 
 // TestTieredWarmRestart is the tentpole contract: everything written
-// before Close is served after a reopen, with no snapshot file.
+// before Close is served after a reopen.
 func TestTieredWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	ts := openTiered(t, dir, Config{})
@@ -114,33 +114,48 @@ func TestTieredSummariesFlushOnClose(t *testing.T) {
 	}
 }
 
-func TestTieredExportImport(t *testing.T) {
-	src := openTiered(t, t.TempDir(), Config{})
-	defer src.Close()
-	src.MergeBounds("g1", Bounds{LB: 3})
-	src.PutDecomposition("g1", testTree(4))
-	src.PutDecomposition("g2", testTree(2))
-	snap := src.Export()
-	if len(snap.Entries) != 2 {
-		t.Fatalf("exported %d entries, want 2", len(snap.Entries))
-	}
+// TestTieredInfoMemoryOnlyTail: Info lists the disk index first
+// (sorted by hash, live memo summaries overlaid from the memory front),
+// then the memory-only entries the disk has no record for yet, in
+// memory-front (most recently used first) order; max truncates across
+// both parts.
+func TestTieredInfoMemoryOnlyTail(t *testing.T) {
+	ts := openTiered(t, t.TempDir(), Config{Shards: 1})
+	defer ts.Close()
+	ts.PutDecomposition("d2", testTree(3))
+	ts.MergeBounds("d1", Bounds{LB: 2})
+	m, _ := ts.Memo("d1", 2)
+	m.Insert("dead-d1")
+	// Memo tables alone append nothing to the log: m-a and m-b exist
+	// only in the memory front (m-b most recently used).
+	ma, _ := ts.Memo("m-a", 2)
+	ma.Insert("dead-a")
+	mb, _ := ts.Memo("m-b", 3)
+	mb.Insert("dead-b1")
+	mb.Insert("dead-b2")
 
-	dst := openTiered(t, t.TempDir(), Config{})
-	n, err := dst.Import(snap)
-	if err != nil || n != 2 {
-		t.Fatalf("import n=%d err=%v", n, err)
+	infos := ts.Info(0)
+	var hashes []string
+	for _, in := range infos {
+		hashes = append(hashes, in.Hash)
 	}
-	if err := dst.Close(); err != nil {
-		t.Fatal(err)
+	if got, want := fmt.Sprint(hashes), "[d1 d2 m-b m-a]"; got != want {
+		t.Fatalf("Info(0) order %s, want %s", got, want)
 	}
-	// The import is durable on the destination's own disk.
-	dst = openTiered(t, dst.log.cfg.Dir, Config{})
-	defer dst.Close()
-	if b, ok := dst.Bounds("g1"); !ok || b.LB != 3 || b.UB != 4 {
-		t.Fatalf("imported g1 bounds %+v ok=%v after restart", b, ok)
+	if in := infos[0]; in.Bounds.LB != 2 || len(in.Memos) != 1 || in.Memos[0] != (WidthSummary{K: 2, States: 1}) {
+		t.Fatalf("d1 info %+v: want disk bounds with the live memo overlaid", in)
 	}
-	if tr, ok := dst.Decomposition("g2"); !ok || tr.Width() != 2 {
-		t.Fatalf("imported g2 tree missing after restart (ok=%v)", ok)
+	if in := infos[1]; !in.HasTree || in.TreeWidth != 3 || len(in.Memos) != 0 {
+		t.Fatalf("d2 info %+v", in)
+	}
+	if in := infos[2]; in.Bounds.Known() || in.HasTree || len(in.Memos) != 1 || in.Memos[0] != (WidthSummary{K: 3, States: 2}) {
+		t.Fatalf("memory-only m-b info %+v", in)
+	}
+	if in := infos[3]; len(in.Memos) != 1 || in.Memos[0] != (WidthSummary{K: 2, States: 1}) {
+		t.Fatalf("memory-only m-a info %+v", in)
+	}
+	if got := ts.Info(3); len(got) != 3 || got[2].Hash != "m-b" {
+		t.Fatalf("Info(3) = %+v, want d1 d2 m-b", got)
 	}
 }
 
